@@ -378,6 +378,11 @@ impl ContextStore {
         };
         let queue_alpha = r.f64()?;
         let n_paths = r.u32()? as usize;
+        // Bound every count by the remaining bytes before allocating: a
+        // path encodes to at least MIN_PATH_BYTES.
+        if r.remaining() < n_paths.saturating_mul(MIN_PATH_BYTES) {
+            return Err(SnapshotError::Truncated);
+        }
         let mut paths = HashMap::with_capacity(n_paths);
         for _ in 0..n_paths {
             let key = PathKey(r.u64()?);
@@ -437,6 +442,10 @@ impl ContextStore {
         ))
     }
 }
+
+/// Smallest encoding of one path in a snapshot blob: key, active,
+/// reports, lookups, learned capacity, flags, and the recent-flow count.
+const MIN_PATH_BYTES: usize = 8 + 4 + 8 + 8 + 8 + 1 + 4;
 
 /// Version byte leading every snapshot blob. Independent of the wire
 /// protocol version: the blob may be written to disk and restored by a
@@ -730,6 +739,20 @@ mod tests {
                 "cut at {cut} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn path_count_beyond_the_blob_is_truncated_not_an_abort() {
+        // 94 bytes claiming u32::MAX paths: allocating for the count
+        // before checking it would ask for hundreds of gigabytes.
+        let mut blob = ContextStore::new(StoreConfig::default()).encode_snapshot(2);
+        let n = blob.len();
+        blob[n - 4..].copy_from_slice(&u32::MAX.to_be_bytes());
+        blob.resize(94, 0);
+        assert_eq!(
+            ContextStore::decode_snapshot(&blob),
+            Err(SnapshotError::Truncated)
+        );
     }
 
     #[test]

@@ -284,12 +284,9 @@ pub struct RunResult {
     /// Scheduler-level accounting for the run (summed across domains on
     /// partitioned runs; the conservation identity holds for the sum).
     pub sched: SchedStats,
-    /// What the crash-injected HA plane did, when the spec carried an
-    /// unsharded one ([`HaSpec::shards`] absent or `count <= 1`).
-    pub ha: Option<HaReport>,
-    /// Per-shard HA reports, in shard order, when the spec sharded the
-    /// plane ([`HaSpec::shards`] with `count > 1`); `None` otherwise.
-    pub ha_shards: Option<Vec<HaReport>>,
+    /// What the crash-injected HA plane did, one report per shard in
+    /// shard order; empty when the spec carried no [`ExperimentSpec::ha`].
+    pub ha: Vec<HaReport>,
     /// Which budget cap (if any) cut the run short. `Some` means the
     /// metrics cover only the portion simulated before the cap hit —
     /// partial data, tagged so aggregation can exclude it.
@@ -392,29 +389,23 @@ pub fn run_experiment(
     // section must replay bit-for-bit against their pre-HA digests. An
     // unsharded plane keeps the original `server-crash` fork for the
     // same reason; only a sharded spec consumes the per-shard streams.
-    let ha_planes = spec.ha.as_ref().map(|ha| match ha.shards {
-        Some(sh) if sh.count > 1 => HaPlaneSet::new(
-            (0..sh.count)
+    let ha_planes = spec.ha.as_ref().map(|ha| {
+        let plane = |ha: &HaSpec, rng| HaPlane::new(spec.store, ha, rng, spec.duration);
+        HaPlaneSet::new(match ha.shards {
+            Some(sh) if sh.count > 1 => (0..sh.count)
                 .map(|s| {
                     let mut shard_spec = ha.clone();
                     if s != sh.crash_shard {
                         shard_spec.plan = ServerCrashPlan::none();
                     }
-                    HaPlane::new(
-                        spec.store,
+                    plane(
                         &shard_spec,
                         root.fork_indexed("server-crash-shard", u64::from(s)),
-                        spec.duration,
                     )
                 })
                 .collect(),
-        ),
-        _ => HaPlaneSet::single(HaPlane::new(
-            spec.store,
-            ha,
-            root.fork("server-crash"),
-            spec.duration,
-        )),
+            _ => vec![plane(ha, root.fork("server-crash"))],
+        })
     });
 
     let mut sender_ids = Vec::with_capacity(spec.dumbbell.pairs);
@@ -485,11 +476,7 @@ pub fn run_experiment(
     );
 
     let store = store.lock().expect("context store").clone();
-    let (ha, ha_shards) = match ha_planes {
-        Some(set) if set.shard_count() > 1 => (None, Some(set.reports())),
-        Some(set) => (Some(set.plane(0).report_summary()), None),
-        None => (None, None),
-    };
+    let ha = ha_planes.map_or_else(Vec::new, |set| set.reports());
     let switch_stats = spec.switch.map(|_| {
         [
             sim.switch_stats(net.left_router),
@@ -505,7 +492,6 @@ pub fn run_experiment(
         events: sim.events_processed(),
         sched: sim.sched_stats(),
         ha,
-        ha_shards,
         terminated,
         switch_stats,
     }
@@ -730,8 +716,7 @@ fn run_fluid(spec: &ExperimentSpec, fluid: &FluidSpec) -> RunResult {
         // The fluid solver has no event scheduler; all-zero still
         // satisfies the conservation identity.
         sched: SchedStats::default(),
-        ha: None,
-        ha_shards: None,
+        ha: Vec::new(),
         // The fluid solver integrates to the deadline in near-constant
         // work per flow; budgets are a packet-path concern and are not
         // applied here.
@@ -762,22 +747,40 @@ pub fn provision_dctcp(params: DctcpParams) -> impl Fn(ProvisionCtx<'_>) -> Prov
     }
 }
 
-/// Provision every sender as a Phi sender: practical hook (lookup/report
-/// against the run's shared store) and parameters drawn from `policy` at
-/// each connection start (§2.2.2's realization).
+/// The Phi controller factory: Cubic with parameters drawn from `policy`
+/// for the looked-up context, the defaults when there is none.
+fn phi_factory(policy: &PolicyTable) -> CcFactory {
+    let policy = policy.clone();
+    Box::new(move |snap| {
+        let params = match snap {
+            Some(s) => policy.params_for(s),
+            None => CubicParams::default(),
+        };
+        Box::new(Cubic::new(params))
+    })
+}
+
+/// Provision every sender as a Phi sender: parameters drawn from
+/// `policy` at each connection start (§2.2.2's realization), with the
+/// practical hook doing one lookup and one report per connection.
+///
+/// Without an [`ExperimentSpec::ha`] section the hook talks to the run's
+/// shared store. With one it talks to the sender's shard of the
+/// replicated, crash-injected plane ([`HaPlane`]: primary + backup with
+/// replication lag and epoch-fenced failover), wrapped in a
+/// [`phi_tcp::hook::DegradingHook`]: while a failover is in flight,
+/// lookups return no context and the sender drops back to vanilla
+/// behaviour — the §2.2.2 degradation arm under server crashes.
 pub fn provision_cubic_phi(policy: PolicyTable) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    move |ctx| {
-        let policy = policy.clone();
-        Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
-            hook: Box::new(PracticalHook::new(ctx.store.clone(), ctx.path)),
-        }
+    move |ctx| Provisioned {
+        factory: phi_factory(&policy),
+        hook: match &ctx.ha {
+            Some(set) => Box::new(DegradingHook::new(HaHook::new(
+                set.plane_for(ctx.path).clone(),
+                ctx.path,
+            ))),
+            None => Box::new(PracticalHook::new(ctx.store.clone(), ctx.path)),
+        },
     }
 }
 
@@ -791,58 +794,14 @@ pub fn provision_cubic_phi_faulty(
     policy: PolicyTable,
     plan: FaultPlan,
 ) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    move |ctx| {
-        let policy = policy.clone();
-        let counters = fault_counters();
-        Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
-            hook: Box::new(DegradingHook::new(FaultyHook::new(
-                PracticalHook::new(ctx.store.clone(), ctx.path),
-                plan,
-                ctx.rng.fork("faults"),
-                counters,
-            ))),
-        }
-    }
-}
-
-/// [`provision_cubic_phi`] against the replicated, crash-injected
-/// context plane: each sender's lookups and reports go to the run's
-/// [`HaPlane`] (primary + backup with replication lag and epoch-fenced
-/// failover) instead of the always-up shared store. While a failover is
-/// in flight, lookups return no context and the
-/// [`phi_tcp::hook::DegradingHook`] wrapper drops the sender back to
-/// vanilla behaviour — the §2.2.2 degradation arm under server crashes.
-///
-/// Requires [`ExperimentSpec::ha`] to be set; panics otherwise (a
-/// missing plan means the caller wanted [`provision_cubic_phi`]).
-pub fn provision_cubic_phi_ha(
-    policy: PolicyTable,
-) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    move |ctx| {
-        let policy = policy.clone();
-        let plane = ctx
-            .ha
-            .as_ref()
-            .expect("provision_cubic_phi_ha requires ExperimentSpec::ha")
-            .plane_for(ctx.path)
-            .clone();
-        Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
-            hook: Box::new(DegradingHook::new(HaHook::new(plane, ctx.path))),
-        }
+    move |ctx| Provisioned {
+        factory: phi_factory(&policy),
+        hook: Box::new(DegradingHook::new(FaultyHook::new(
+            PracticalHook::new(ctx.store.clone(), ctx.path),
+            plan,
+            ctx.rng.fork("faults"),
+            fault_counters(),
+        ))),
     }
 }
 

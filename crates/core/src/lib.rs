@@ -44,8 +44,9 @@
 //!   store (paths never interact), each shard with its own lock,
 //!   replication log, and failover epoch in the server.
 //! * [`wire`] / [`server`] — a real context server: length-prefixed binary
-//!   protocol (single and batch frames), threaded TCP service, blocking
-//!   client with a write-behind report buffer.
+//!   protocol (single and batch frames), threaded TCP service, one
+//!   blocking client (direct or failover transport) with a write-behind
+//!   report buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,9 +73,9 @@ pub use crash::{
     CrashCounters, HaHook, HaPlane, HaPlaneSet, HaReport, HaSpec, ServerCrashPlan, ShardedHa,
 };
 pub use harness::{
-    is_modified, provision_cubic, provision_cubic_phi, provision_cubic_phi_faulty,
-    provision_cubic_phi_ha, provision_mixed, run_experiment, run_repeated, run_repeated_on,
-    ExperimentSpec, FluidSpec, ProvisionCtx, Provisioned, RunResult, DUMBBELL_PATH,
+    is_modified, provision_cubic, provision_cubic_phi, provision_cubic_phi_faulty, provision_mixed,
+    run_experiment, run_repeated, run_repeated_on, ExperimentSpec, FluidSpec, ProvisionCtx,
+    Provisioned, RunResult, DUMBBELL_PATH,
 };
 pub use hooks::{
     fault_counters, shared, summarize, FaultCounters, FaultPlan, FaultyHook, Flap, IdealOracleHook,
@@ -89,9 +90,8 @@ pub use policy::{PolicyEntry, PolicyTable};
 pub use power::{log_power, power, power_loss, score, Objective};
 pub use runpool::{derive_seed, panic_message, RunFailure, RunOutcome, RunPool};
 pub use server::{
-    sync_store, ClientConfig, ClientError, ContextClient, ContextServer, HaOptions,
-    ResilienceConfig, ResilienceStats, ResilientClient, ServerConfig, ServerStats, SyncStore,
-    WriteBehindConfig,
+    Client, ClientConfig, ClientError, ContextClient, ContextServer, ResilienceConfig,
+    ResilienceStats, ResilientClient, ServerConfig, ServerStats, WriteBehindConfig,
 };
 pub use shard::{shard_index, ShardedStore};
 pub use supervise::{

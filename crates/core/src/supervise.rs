@@ -350,8 +350,7 @@ mod tests {
             store: ContextStore::new(StoreConfig::default()),
             events: 1_000 + i as u64,
             sched: SchedStats::default(),
-            ha: None,
-            ha_shards: None,
+            ha: Vec::new(),
             terminated,
             switch_stats: None,
         }

@@ -20,18 +20,19 @@ use std::time::{Duration, Instant};
 
 use phi::core::{
     wire, ClientConfig, ClientError, ContextClient, ContextServer, ContextStore, FlowSummary,
-    HaOptions, PathKey, ResilienceConfig, ResilientClient, Role, ServerConfig, StoreConfig,
+    PathKey, ResilienceConfig, ResilientClient, Role, ServerConfig, StoreConfig,
 };
 
 fn main() {
     // One path (think: one busy destination /24), capacity 100 Mbit/s.
     let path = PathKey(0xC0FFEE);
-    let store = phi::core::sync_store(ContextStore::new(StoreConfig {
+    let store = ContextStore::new(StoreConfig {
         window_ns: 2_000_000_000, // 2 s sliding window (demo timescale)
         capacity_bps: Some(100_000_000.0),
         queue_alpha: 0.3,
-    }));
-    let server = ContextServer::start("127.0.0.1:0", store).expect("bind context server");
+    });
+    let server = ContextServer::start("127.0.0.1:0", vec![store], ServerConfig::default())
+        .expect("bind context server");
     let addr = server.addr();
     println!("context server listening on {addr}\n");
 
@@ -103,10 +104,13 @@ fn main() {
 /// error frame instead of hanging or silently closing.
 fn overload_demo() {
     println!("-- overload: shedding past the connection cap --");
-    let store = phi::core::sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
+    let config = ServerConfig {
+        max_connections: 2,
+        ..ServerConfig::default()
+    };
     let server =
-        ContextServer::start_with("127.0.0.1:0", store, ServerConfig { max_connections: 2 })
-            .expect("bind capped server");
+        ContextServer::start("127.0.0.1:0", vec![store], config).expect("bind capped server");
     let addr = server.addr();
 
     // Two clients fill the cap and stay connected.
@@ -139,8 +143,9 @@ fn overload_demo() {
 /// failures, and short-circuited requests don't even touch the network.
 fn degradation_demo() {
     println!("-- degradation: the plane dies, the sender must not --");
-    let store = phi::core::sync_store(ContextStore::new(StoreConfig::default()));
-    let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
+    let store = ContextStore::new(StoreConfig::default());
+    let server =
+        ContextServer::start("127.0.0.1:0", vec![store], ServerConfig::default()).expect("bind");
     let addr = server.addr();
 
     let mut client = ResilientClient::with_config(
@@ -161,19 +166,20 @@ fn degradation_demo() {
     .expect("resolve");
 
     // Healthy plane: lookups answer.
-    let healthy = client.lookup(PathKey(1)).is_some();
+    let healthy = client.lookup(PathKey(1)).is_ok();
     println!("  plane up:   lookup answered = {healthy}");
 
     // Kill the plane mid-flight.
     server.shutdown();
 
-    // Every call now degrades to None — bounded by deadline + backoff,
-    // never an error the data path has to handle.
+    // Every call now degrades to "no context" (`ClientError::Unavailable`)
+    // — bounded by deadline + backoff; the data path falls back to
+    // defaults.
     for i in 0..4u64 {
         let ctx = client.lookup(PathKey(i));
         println!(
             "  plane down: lookup -> {:?}, breaker open = {}",
-            ctx.map(|c| c.utilization),
+            ctx.ok().map(|c| c.utilization),
             client.breaker_open()
         );
     }
@@ -200,26 +206,26 @@ fn ha_demo() {
     };
 
     // A backup at epoch 1 (fences all client traffic until promoted)...
-    let backup = ContextServer::start_ha(
+    let backup = ContextServer::start_sharded(
         "127.0.0.1:0",
-        phi::core::sync_store(ContextStore::new(store_cfg)),
-        ServerConfig::default(),
-        HaOptions {
+        store_cfg,
+        ServerConfig {
             role: Role::Backup,
-            ..HaOptions::default()
+            ..ServerConfig::default()
         },
+        1,
     )
     .expect("bind backup");
 
     // ...and a primary streaming every mutation to it.
-    let primary = ContextServer::start_ha(
+    let primary = ContextServer::start_sharded(
         "127.0.0.1:0",
-        phi::core::sync_store(ContextStore::new(store_cfg)),
-        ServerConfig::default(),
-        HaOptions {
+        store_cfg,
+        ServerConfig {
             backups: vec![backup.addr()],
-            ..HaOptions::default()
+            ..ServerConfig::default()
         },
+        1,
     )
     .expect("bind primary");
     let endpoints = vec![primary.addr(), backup.addr()];
@@ -256,8 +262,8 @@ fn ha_demo() {
                 let mut window: Option<(Duration, Duration)> = None; // (first miss, last miss)
                 for _ in 0..60 {
                     match client.lookup(path) {
-                        Some(_) => {
-                            client.report(
+                        Ok(_) => {
+                            let _ = client.report(
                                 path,
                                 FlowSummary {
                                     bytes: 500_000 + 100_000 * i,
@@ -269,7 +275,7 @@ fn ha_demo() {
                                 },
                             );
                         }
-                        None => {
+                        Err(_) => {
                             let t = start.elapsed();
                             let w = window.get_or_insert((t, t));
                             w.1 = t;

@@ -10,9 +10,9 @@ use std::time::Duration;
 
 use phi::core::wire;
 use phi::core::{
-    provision_cubic, run_experiment, summarize, sync_store, ClientError, ContextClient,
-    ContextServer, ContextStore, ExperimentSpec, FlowSummary, PathKey, ResilienceConfig,
-    ResilientClient, ServerConfig, StoreConfig, WriteBehindConfig,
+    provision_cubic, run_experiment, summarize, ClientError, ContextClient, ContextServer,
+    ContextStore, ExperimentSpec, FlowSummary, PathKey, ResilienceConfig, ResilientClient,
+    ServerConfig, StoreConfig, WriteBehindConfig,
 };
 use phi::sim::time::Dur;
 use phi::tcp::CubicParams;
@@ -38,12 +38,13 @@ fn simulation_reports_through_real_server_build_context() {
     assert!(reports.len() >= 8, "need a meaningful report stream");
 
     // 2. Serve a store that knows the real capacity.
-    let store = sync_store(ContextStore::new(StoreConfig {
+    let store = ContextStore::new(StoreConfig {
         window_ns: u64::MAX, // everything in-window: we replay history at once
         capacity_bps: Some(spec.dumbbell.bottleneck_bps as f64),
         queue_alpha: 0.3,
-    }));
-    let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
+    });
+    let server =
+        ContextServer::start("127.0.0.1:0", vec![store], ServerConfig::default()).expect("bind");
     let addr = server.addr();
     let path = PathKey(42);
 
@@ -97,8 +98,9 @@ fn simulation_reports_through_real_server_build_context() {
 
 #[test]
 fn server_survives_client_churn() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
-    let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
+    let store = ContextStore::new(StoreConfig::default());
+    let server =
+        ContextServer::start("127.0.0.1:0", vec![store], ServerConfig::default()).expect("bind");
     let addr = server.addr();
 
     // Waves of clients connecting, doing one op, disconnecting.
@@ -129,10 +131,12 @@ fn server_survives_client_churn() {
 
 #[test]
 fn overloaded_server_sheds_with_error_frame_and_counts_rejections() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
-    let server =
-        ContextServer::start_with("127.0.0.1:0", store, ServerConfig { max_connections: 2 })
-            .expect("bind");
+    let store = ContextStore::new(StoreConfig::default());
+    let config = ServerConfig {
+        max_connections: 2,
+        ..ServerConfig::default()
+    };
+    let server = ContextServer::start("127.0.0.1:0", vec![store], config).expect("bind");
     let addr = server.addr();
 
     // Fill the cap with two live clients; a completed lookup proves each
@@ -284,8 +288,9 @@ fn write_behind_reports_land_within_the_staleness_bound() {
 /// opens every call short-circuits without touching the network.
 #[test]
 fn dead_plane_write_behind_degrades_without_stalling() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
-    let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
+    let store = ContextStore::new(StoreConfig::default());
+    let server =
+        ContextServer::start("127.0.0.1:0", vec![store], ServerConfig::default()).expect("bind");
     let addr = server.addr();
 
     let mut cfg = ResilienceConfig {
@@ -305,7 +310,7 @@ fn dead_plane_write_behind_degrades_without_stalling() {
 
     // Healthy plane: a full buffer flushes and lands.
     for i in 0..4u64 {
-        client.buffer_report(PathKey(i), summary(10_000));
+        let _ = client.buffer_report(PathKey(i), summary(10_000));
     }
     assert_eq!(client.pending_reports(), 0);
     assert_eq!(server_reports(&server), 4);
@@ -314,12 +319,12 @@ fn dead_plane_write_behind_degrades_without_stalling() {
 
     // Dead plane: buffering itself never fails...
     for i in 0..3u64 {
-        assert!(client.buffer_report(PathKey(i), summary(10_000)));
+        assert!(client.buffer_report(PathKey(i), summary(10_000)).is_ok());
     }
     // ...the flush that hits the dead server reports the loss and drops
     // the batch — the buffer must not grow or retry into the future...
     assert!(
-        !client.buffer_report(PathKey(3), summary(10_000)),
+        client.buffer_report(PathKey(3), summary(10_000)).is_err(),
         "flush against a dead plane must report the loss"
     );
     assert_eq!(client.pending_reports(), 0, "dropped, not retained");
@@ -330,7 +335,7 @@ fn dead_plane_write_behind_degrades_without_stalling() {
     let before = client.stats().short_circuited;
     let start = std::time::Instant::now();
     for i in 0..400u64 {
-        client.buffer_report(PathKey(i), summary(10_000));
+        let _ = client.buffer_report(PathKey(i), summary(10_000));
     }
     assert!(
         start.elapsed() < Duration::from_millis(500),
@@ -343,8 +348,8 @@ fn dead_plane_write_behind_degrades_without_stalling() {
     );
     assert_eq!(client.pending_reports() % 4, client.pending_reports());
     assert!(
-        client.query_batch(&[PathKey(1)]).is_none(),
+        client.query_batch(&[PathKey(1)]).is_err(),
         "degrade to no context"
     );
-    assert!(client.lookup(PathKey(1)).is_none());
+    assert!(client.lookup(PathKey(1)).is_err());
 }
