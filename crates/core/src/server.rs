@@ -14,8 +14,15 @@
 //! (one per shard — e.g. restored from snapshot blobs) and
 //! [`ContextServer::start_sharded`] serves fresh ones; every knob
 //! (connection cap, starting epoch and role, backups) lives in one
-//! [`ServerConfig`]. [`ContextServer::shutdown`] stops accepting,
-//! unblocks handlers via read timeouts, and joins every thread.
+//! [`ServerConfig`]. Nothing polls: the accept thread blocks in
+//! `accept()` and each connection's handler thread blocks in `read()`, so
+//! a new connection is served the moment it arrives.
+//! [`ContextServer::shutdown`] raises a stop flag and wakes the accept
+//! thread with one connection to the listener's own address (loopback
+//! when it listens on every interface); the accept thread sees the flag
+//! before counting or serving that connection. It then shuts down every
+//! live connection's socket, which unblocks a handler stuck in `read` or
+//! in a `write` to a peer that stopped reading, and joins every thread.
 //!
 //! There is one client type, [`Client`]: it owns the typed requests and
 //! the write-behind report buffer, and is generic over the transport
@@ -57,7 +64,9 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -224,21 +233,35 @@ pub struct ContextServer {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     repl_thread: Option<std::thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    handlers: Arc<Mutex<Vec<Handler>>>,
     stats: Arc<ServerStats>,
     shards: Arc<Vec<ShardState>>,
 }
 
-/// How long handler reads block before re-checking the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// One connection's handler thread, next to a clone of its socket: the
+/// handler blocks in `read` with no timeout, and shutting the clone down
+/// is how [`ContextServer::shutdown`] unblocks it.
+struct Handler {
+    thread: std::thread::JoinHandle<()>,
+    stream: TcpStream,
+}
 
-/// Decrements the active-connection gauge when a handler exits, however
-/// it exits.
-struct ConnGuard(Arc<AtomicUsize>);
+/// How long a shed connection's overload frame may take to write.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// A handler's own socket. However the handler exits, dropping the guard
+/// shuts the socket down — the server's clone keeps the descriptor open,
+/// so closing this handle alone would never send the peer EOF — and
+/// decrements the active-connection gauge.
+struct ConnGuard {
+    stream: TcpStream,
+    active: Arc<AtomicUsize>,
+}
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -293,11 +316,9 @@ impl ContextServer {
     ) -> std::io::Result<ContextServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let handlers: Arc<Mutex<Vec<Handler>>> = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(ServerStats::default());
         let active = Arc::new(AtomicUsize::new(0));
         let started = Instant::now();
@@ -312,35 +333,42 @@ impl ContextServer {
             std::thread::Builder::new()
                 .name("phi-ctx-accept".into())
                 .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                reap_finished(&handlers);
-                                if active.load(Ordering::Acquire) >= max_connections {
-                                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                    shed_connection(stream);
-                                    continue;
-                                }
-                                stats.connections.fetch_add(1, Ordering::Relaxed);
-                                active.fetch_add(1, Ordering::AcqRel);
-                                let guard = ConnGuard(active.clone());
-                                let shutdown = shutdown.clone();
-                                let stats = stats.clone();
-                                let shards = shards.clone();
-                                let handle = std::thread::Builder::new()
-                                    .name("phi-ctx-conn".into())
-                                    .spawn(move || {
-                                        let _guard = guard;
-                                        handle_connection(stream, shards, stats, shutdown, started)
-                                    })
-                                    .expect("spawn handler thread");
-                                handlers.lock().push(handle);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL_INTERVAL);
-                            }
-                            Err(_) => break,
+                    for stream in listener.incoming() {
+                        // Checked first: the connection `stop` wakes this
+                        // thread with is never counted or served.
+                        if shutdown.load(Ordering::Acquire) {
+                            break;
                         }
+                        let Ok(stream) = stream else { break };
+                        reap_finished(&handlers);
+                        if active.load(Ordering::Acquire) >= max_connections {
+                            stats.rejected.fetch_add(1, Ordering::Relaxed);
+                            shed_connection(stream);
+                            continue;
+                        }
+                        // A socket that cannot be cloned for `stop` to shut
+                        // down is closed unserved.
+                        let Ok(clone) = stream.try_clone() else {
+                            continue;
+                        };
+                        stats.connections.fetch_add(1, Ordering::Relaxed);
+                        active.fetch_add(1, Ordering::AcqRel);
+                        let mut guard = ConnGuard {
+                            stream,
+                            active: active.clone(),
+                        };
+                        let stats = stats.clone();
+                        let shards = shards.clone();
+                        let thread = std::thread::Builder::new()
+                            .name("phi-ctx-conn".into())
+                            .spawn(move || {
+                                handle_connection(&mut guard.stream, shards, stats, started)
+                            })
+                            .expect("spawn handler thread");
+                        handlers.lock().push(Handler {
+                            thread,
+                            stream: clone,
+                        });
                     }
                 })
                 .expect("spawn accept thread")
@@ -474,14 +502,20 @@ impl ContextServer {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
+            // The accept thread is blocked in `accept`: one connection
+            // wakes it to see the flag.
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = t.join();
         }
         if let Some(t) = self.repl_thread.take() {
             let _ = t.join();
         }
-        let handlers = std::mem::take(&mut *self.handlers.lock());
-        for h in handlers {
-            let _ = h.join();
+        // No handler is added after the accept thread is joined. Shutting
+        // a socket down ends its handler's blocked `read` (EOF) or `write`
+        // (broken pipe) alike.
+        for h in std::mem::take(&mut *self.handlers.lock()) {
+            let _ = h.stream.shutdown(Shutdown::Both);
+            let _ = h.thread.join();
         }
     }
 }
@@ -492,15 +526,27 @@ impl Drop for ContextServer {
     }
 }
 
-/// Join handler threads that already returned, so long-lived servers with
-/// connection churn don't accumulate an unbounded handle list.
-fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
+/// Where `stop` connects to wake the accept thread: the listener's own
+/// address, or loopback when it listens on every interface.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// Join handler threads that already returned and close their socket
+/// clones, so long-lived servers with connection churn don't accumulate
+/// an unbounded handle list or descriptors.
+fn reap_finished(handlers: &Mutex<Vec<Handler>>) {
     let finished: Vec<_> = {
         let mut live = handlers.lock();
         let mut finished = Vec::new();
         let mut i = 0;
         while i < live.len() {
-            if live[i].is_finished() {
+            if live[i].thread.is_finished() {
                 finished.push(live.swap_remove(i));
             } else {
                 i += 1;
@@ -509,7 +555,7 @@ fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
         finished
     };
     for h in finished {
-        let _ = h.join();
+        let _ = h.thread.join();
     }
 }
 
@@ -518,7 +564,7 @@ fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
 /// or unreachable peer.
 fn shed_connection(stream: TcpStream) {
     let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let _ = stream.write_all(&encode(&Message::Error {
         code: code::OVERLOADED,
         message: "server overloaded: connection cap reached".into(),
@@ -623,32 +669,23 @@ fn apply_reports(
     Message::ReportOk
 }
 
+/// Serve one connection until the peer closes it, the framing breaks, or
+/// [`ContextServer::shutdown`] shuts its socket down.
 fn handle_connection(
-    stream: TcpStream,
+    stream: &mut TcpStream,
     shards: Arc<Vec<ShardState>>,
     stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
     started: Instant,
 ) {
-    let mut stream = stream;
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
     let _ = stream.set_nodelay(true);
     let mut decoder = Decoder::new();
     let mut buf = [0u8; 4096];
 
-    while !shutdown.load(Ordering::Acquire) {
+    loop {
         match stream.read(&mut buf) {
-            Ok(0) => return, // peer closed
+            // Peer closed, or the server is shutting down.
+            Ok(0) | Err(_) => return,
             Ok(n) => decoder.extend(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
         }
         loop {
             let now_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -1193,8 +1230,7 @@ impl Connection {
 
     fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
         let deadline = Instant::now() + self.config.request_deadline;
-        self.stream
-            .set_write_timeout(Some(self.config.request_deadline))?;
+        // The write timeout `open` set bounds this write.
         self.stream.write_all(&encode(msg))?;
         let mut buf = [0u8; 4096];
         loop {
@@ -1871,13 +1907,16 @@ mod tests {
         raw.write_all(&[0, 0, 0, 2, 77, 1]).unwrap();
         let mut buf = Vec::new();
         let mut chunk = [0u8; 1024];
-        loop {
+        let eof = loop {
             match raw.read(&mut chunk) {
-                Ok(0) => break,
+                Ok(0) => break true,
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(_) => break,
+                Err(_) => break false,
             }
-        }
+        };
+        // The server closes the socket itself: a leaked descriptor would
+        // leave this read to run into its timeout instead.
+        assert!(eof, "the dropped connection must reach EOF");
         let mut d = Decoder::new();
         d.extend(&buf);
         match d.next().expect("error frame") {
@@ -1900,6 +1939,80 @@ mod tests {
             "shutdown took {:?}",
             start.elapsed()
         );
+    }
+
+    /// Regression: handler sockets had a read timeout but no write
+    /// timeout, so a handler blocked writing to a peer that stopped
+    /// reading, and `shutdown` waited on its join forever.
+    #[test]
+    fn shutdown_returns_while_a_peer_never_reads() {
+        let (server, addr) = start_server();
+        let mut c = ContextClient::connect(addr).expect("connect");
+        let items: Vec<_> = (0..1024).map(|p| (PathKey(p), summary(1_000))).collect();
+        c.report_batch(&items).expect("report 1024 paths");
+        // Each reply carries 1024 paths; nothing reads them, so the
+        // socket buffers fill and the handler blocks in `write`.
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        let frames = encode(&Message::Snapshot { limit: 1024 }).repeat(4000);
+        raw.write_all(&frames).expect("pipeline snapshot requests");
+        std::thread::sleep(Duration::from_millis(100));
+
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            returned.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "shutdown hung on a peer that never reads"
+        );
+    }
+
+    /// A connect is served as soon as it arrives, not at the next tick of
+    /// a polling accept loop (a 50 ms poll put ~40 ms on this call).
+    #[test]
+    fn a_new_connection_is_served_without_waiting_for_a_poll() {
+        let best = (0..3)
+            .map(|_| {
+                let (server, addr) = start_server();
+                std::thread::sleep(Duration::from_millis(10));
+                let started = Instant::now();
+                let mut c = ContextClient::connect(addr).expect("connect");
+                c.epoch().expect("epoch");
+                let elapsed = started.elapsed();
+                server.shutdown();
+                elapsed
+            })
+            .min()
+            .unwrap();
+        assert!(
+            best < Duration::from_millis(25),
+            "connect + first reply took {best:?}"
+        );
+    }
+
+    /// Bound to every interface, the server wakes its accept thread over
+    /// loopback, and that wake-up is never counted as a connection.
+    #[test]
+    fn wildcard_bound_server_stops_promptly_and_counts_only_clients() {
+        let store = ContextStore::new(StoreConfig::default());
+        let mut server =
+            ContextServer::start("0.0.0.0:0", vec![store], ServerConfig::default()).expect("bind");
+        let port = server.addr().port();
+        let mut clients: Vec<_> = (0..2)
+            .map(|_| ContextClient::connect(("127.0.0.1", port)).expect("connect"))
+            .collect();
+        for c in &mut clients {
+            c.lookup(PathKey(1)).expect("lookup");
+        }
+        let started = Instant::now();
+        server.stop();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "stop took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 2);
     }
 
     #[test]
